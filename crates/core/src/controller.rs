@@ -99,9 +99,6 @@ pub struct CocaController<S> {
     /// Slot index of the most recent decision (backs [`Policy::telemetry`]).
     // audit:transient(overwritten by the next observe() before any read)
     last_t: usize,
-    /// q(t) observed at each decision epoch (diagnostics; Theorem 2 relates
-    /// its peak to the neutrality deviation).
-    pub q_history: Vec<f64>,
 }
 
 impl<S: P3Solver> CocaController<S> {
@@ -112,7 +109,7 @@ impl<S: P3Solver> CocaController<S> {
         cfg.validate().expect("valid CocaConfig");
         cost.validate().expect("valid CostParams");
         let deficit = DeficitQueue::new(cfg.alpha, cfg.rec_total, cfg.horizon);
-        Self { cluster, cost, cfg, solver, deficit, observer: None, last_t: 0, q_history: Vec::new() }
+        Self { cluster, cost, cfg, solver, deficit, observer: None, last_t: 0 }
     }
 
     /// Attaches a solver observer: the controller reports frame resets and
@@ -179,7 +176,6 @@ impl<S: P3Solver> Policy for CocaController<S> {
         let inv = crate::invariant::global();
         inv.deficit_nonnegative(q);
         inv.frame_reset(obs.t, self.cfg.frame_length, self.deficit.updates_since_reset());
-        self.q_history.push(q);
         if let Some(o) = &self.observer {
             o.on_deficit(obs.t, q);
         }
@@ -207,7 +203,6 @@ impl<S: P3Solver> Policy for CocaController<S> {
 
     fn reset(&mut self) {
         self.deficit = DeficitQueue::new(self.cfg.alpha, self.cfg.rec_total, self.cfg.horizon);
-        self.q_history.clear();
         self.last_t = 0;
         self.solver.reset();
     }
@@ -224,22 +219,18 @@ impl<S: P3Solver> Policy for CocaController<S> {
         })
     }
 
-    /// Captures everything decision-relevant: the carbon-deficit queue,
-    /// the q-history diagnostics, and the solver's warm-start state (via
-    /// [`P3Solver::snapshot_state`]). With a snapshot-capable solver the
-    /// restored controller continues bit-identically.
+    /// Captures everything decision-relevant: the carbon-deficit queue and
+    /// the solver's warm-start state (via [`P3Solver::snapshot_state`]).
+    /// Its size does not grow with t. With a snapshot-capable solver the
+    /// restored controller continues bit-identically. The q(t) trajectory
+    /// is not state: observers record it (`coca_deficit_queue_kwh`).
     fn snapshot(&self) -> coca_dcsim::Result<Value> {
         let deficit = self
             .deficit
             .serialize_value()
             .map_err(|e| SimError::Internal(format!("deficit snapshot: {e}")))?;
-        let q_history = self
-            .q_history
-            .serialize_value()
-            .map_err(|e| SimError::Internal(format!("q_history snapshot: {e}")))?;
         Ok(Value::Map(vec![
             ("deficit".to_string(), deficit),
-            ("q_history".to_string(), q_history),
             ("solver".to_string(), self.solver.snapshot_state()?),
         ]))
     }
@@ -252,11 +243,8 @@ impl<S: P3Solver> Policy for CocaController<S> {
         };
         let deficit = DeficitQueue::deserialize_value(field("deficit")?)
             .map_err(|e| SimError::InvalidConfig(format!("coca snapshot deficit: {e}")))?;
-        let q_history = Vec::<f64>::deserialize_value(field("q_history")?)
-            .map_err(|e| SimError::InvalidConfig(format!("coca snapshot q_history: {e}")))?;
         self.solver.restore_state(field("solver")?)?;
         self.deficit = deficit;
-        self.q_history = q_history;
         Ok(())
     }
 }
@@ -280,6 +268,20 @@ mod tests {
             .unwrap()
             .pop()
             .unwrap()
+    }
+
+    /// Attaches a metrics observer and returns the registry whose
+    /// `coca_deficit_queue_kwh` trajectory records q(t) at every decision.
+    fn observe(coca: &mut CocaController<SymmetricSolver>) -> Arc<coca_obs::MetricsRegistry> {
+        let registry = Arc::new(coca_obs::MetricsRegistry::new());
+        coca.set_observer(Arc::new(coca_obs::MetricsObserver::new(Arc::clone(&registry))));
+        registry
+    }
+
+    /// The q(t) values in a registry's deficit trajectory, in slot order.
+    fn q_trajectory(registry: &coca_obs::MetricsRegistry) -> Vec<f64> {
+        let snap = registry.snapshot();
+        snap.gauge("coca_deficit_queue_kwh").unwrap().trajectory.iter().map(|&(_, q)| q).collect()
     }
 
     fn config(horizon: usize, v: f64, rec: f64) -> CocaConfig {
@@ -328,10 +330,12 @@ mod tests {
         let cost = CostParams::default();
         let cfg = config(72, 100.0, 50.0);
         let mut coca = CocaController::new(Arc::clone(&cluster), cost, cfg, SymmetricSolver::new());
+        let registry = observe(&mut coca);
         let out = run_sim(&cluster, &trace, cost, 50.0, Box::new(&mut coca));
         assert_eq!(out.len(), 72);
-        assert_eq!(coca.q_history.len(), 72);
-        assert!(coca.q_history[0] == 0.0, "queue starts empty");
+        let q = q_trajectory(&registry);
+        assert_eq!(q.len(), 72);
+        assert!(q[0] == 0.0, "queue starts empty");
         assert!(out.records.iter().all(|r| r.total_cost.is_finite()));
     }
 
@@ -349,11 +353,13 @@ mod tests {
             rec_total: 0.0,
         };
         let mut coca = CocaController::new(Arc::clone(&cluster), cost, cfg, SymmetricSolver::new());
+        let registry = observe(&mut coca);
         let _ = run_sim(&cluster, &trace, cost, 0.0, Box::new(&mut coca));
+        let q = q_trajectory(&registry);
         // The queue accumulated during frame 0 (tiny allowance)…
-        assert!(coca.q_history[1..24].iter().any(|&q| q > 0.0));
+        assert!(q[1..24].iter().any(|&q| q > 0.0));
         // …and was reset at the frame boundary (slot 24 decision sees q=0).
-        assert_eq!(coca.q_history[24], 0.0);
+        assert_eq!(q[24], 0.0);
         // V switches per frame.
         assert_eq!(coca.v_at(0), 50.0);
         assert_eq!(coca.v_at(24), 200.0);
@@ -447,10 +453,11 @@ mod tests {
         let q = snap.gauge("coca_deficit_queue_kwh").unwrap();
         assert_eq!(q.trajectory.len(), 48, "one deficit sample per decision");
         assert_eq!(
-            q.trajectory.iter().map(|&(_, v)| v).collect::<Vec<_>>(),
-            coca.q_history,
-            "trajectory mirrors q_history"
+            q.trajectory.iter().map(|&(t, _)| t).collect::<Vec<_>>(),
+            (0..48).collect::<Vec<u64>>(),
+            "samples keyed by decision slot"
         );
+        assert_eq!(q.trajectory[24].1, 0.0, "frame reset precedes the t=24 sample");
         // Deterministic solver: no acceptance-ratio samples.
         assert_eq!(snap.histogram("gsd_acceptance_ratio").unwrap().count, 0);
         assert!(coca.solver().stats().iterations > 0);
@@ -472,6 +479,5 @@ mod tests {
         assert!(coca.deficit_len() > 0.0);
         Policy::reset(&mut coca);
         assert_eq!(coca.deficit_len(), 0.0);
-        assert!(coca.q_history.is_empty());
     }
 }

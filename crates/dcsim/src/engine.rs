@@ -33,12 +33,17 @@
 //! [`SimEngine::checkpoint`] captures an [`EngineState`]: the next slot
 //! index, the run configuration scalars, and one [`LaneState`] per lane
 //! (policy name, previous speed vector for switching-energy accounting,
-//! the policy's own [`Policy::snapshot`] value, and the records collected
-//! so far). The state derives `Serialize`/`Deserialize`, so it round-trips
-//! through `serde_json`. [`SimEngine::restore`] is the inverse; the
-//! engine/policy contract is that a restored run continues byte-identical
-//! to the uninterrupted one. Policies whose solvers carry warm-start state
-//! must include it in their snapshot (see `SymmetricSolver`), because warm
+//! the policy's own [`Policy::snapshot`] value, and the sink's own
+//! [`RecordSink::snapshot`] as a [`SinkState`]). A [`VecSink`] lane
+//! checkpoints every record so far, so batch checkpoints grow with t; a
+//! [`SummarySink`](crate::metrics::SummarySink) lane checkpoints only its
+//! running totals, so a resident service's checkpoint has the same size at
+//! any t. The state derives `Serialize`/`Deserialize`, so it round-trips
+//! through `serde_json` ([`coca_obs::persist`] reads and writes it
+//! atomically). [`SimEngine::restore`] is the inverse; the engine/policy
+//! contract is that a restored run continues byte-identical to the
+//! uninterrupted one. Policies whose solvers carry warm-start state must
+//! include it in their snapshot (see `SymmetricSolver`), because warm
 //! starts change solve results.
 //!
 //! ## Observability
@@ -65,7 +70,7 @@ use serde::{Deserialize, Serialize, Value};
 use crate::cluster::Cluster;
 use crate::cost::CostParams;
 use crate::dispatch::{evaluate_dispatch, SlotProblem};
-use crate::metrics::{DecisionContext, RecordSink, SimOutcome, SlotRecord, VecSink};
+use crate::metrics::{DecisionContext, RecordSink, SimOutcome, SinkState, SlotRecord, VecSink};
 use crate::policy::{Policy, SlotFeedback, SlotObservation};
 use crate::SimError;
 
@@ -252,8 +257,8 @@ pub struct LaneState {
     pub prev_levels: Vec<usize>,
     /// The policy's own [`Policy::snapshot`] value.
     pub policy_state: Value,
-    /// Records collected so far (requires a sink that materializes them).
-    pub records: Vec<SlotRecord>,
+    /// The lane sink's own [`RecordSink::snapshot`].
+    pub sink: SinkState,
 }
 
 /// Serializable checkpoint of a whole engine run.
@@ -604,8 +609,10 @@ impl<'p, Src: SlotSource> SimEngine<'p, Src> {
     /// `stop` is raised (a SIGTERM handler flips that flag).
     ///
     /// `on_checkpoint` receives every emitted [`EngineState`]; persist it
-    /// atomically (write + rename) to make restarts crash-consistent. All
-    /// lanes must use materializing sinks (checkpoint requirement).
+    /// atomically ([`coca_obs::persist::write_json`]) to make
+    /// restarts crash-consistent. Every lane's sink must support
+    /// [`RecordSink::snapshot`]; a [`SummarySink`](crate::metrics::SummarySink)
+    /// lane keeps each checkpoint the same size at any t.
     pub fn run_service(
         &mut self,
         cfg: &ServiceConfig,
@@ -666,28 +673,36 @@ impl<'p, Src: SlotSource> SimEngine<'p, Src> {
             .collect()
     }
 
+    /// Snapshots lane `lane`'s sink ([`RecordSink::snapshot`]) without
+    /// checkpointing the rest of the run — how a host reads a
+    /// non-materializing sink's totals at the end.
+    pub fn sink_state(&self, lane: usize) -> crate::Result<SinkState> {
+        let lane = self.lanes.get(lane).ok_or_else(|| {
+            SimError::InvalidConfig(format!("no lane {lane} (engine has {})", self.lanes.len()))
+        })?;
+        lane.sink.snapshot().map_err(|e| {
+            SimError::InvalidConfig(format!("lane `{}` sink: {e}", lane.policy.name()))
+        })
+    }
+
     /// Serializes the full run state at the current slot boundary.
     ///
-    /// Requires every lane's sink to materialize its records (the default
-    /// [`VecSink`] does). Call between steps — typically at frame
-    /// boundaries (`t % frame_length == 0`) so COCA's deficit queue is at
-    /// a natural reset point, though any boundary is exact.
+    /// Requires every lane's sink to support [`RecordSink::snapshot`] (both
+    /// [`VecSink`] and [`SummarySink`](crate::metrics::SummarySink) do).
+    /// Call between steps — typically at frame boundaries
+    /// (`t % frame_length == 0`) so COCA's deficit queue is at a natural
+    /// reset point, though any boundary is exact.
     pub fn checkpoint(&self) -> crate::Result<EngineState> {
         let lanes = self
             .lanes
             .iter()
-            .map(|lane| {
-                let records = lane.sink.collected().ok_or_else(|| {
-                    SimError::InvalidConfig(format!(
-                        "lane `{}` uses a non-materializing sink; checkpoint unsupported",
-                        lane.policy.name()
-                    ))
-                })?;
+            .enumerate()
+            .map(|(i, lane)| {
                 Ok(LaneState {
                     policy: lane.policy.name().to_string(),
                     prev_levels: lane.prev_levels.clone(),
                     policy_state: lane.policy.snapshot()?,
-                    records: records.to_vec(),
+                    sink: self.sink_state(i)?,
                 })
             })
             .collect::<crate::Result<Vec<_>>>()?;
@@ -734,7 +749,9 @@ impl<'p, Src: SlotSource> SimEngine<'p, Src> {
                 )));
             }
             lane.policy.restore(&ls.policy_state)?;
-            lane.sink.restore_records(&ls.records).map_err(SimError::Internal)?;
+            lane.sink.restore(&ls.sink).map_err(|e| {
+                SimError::InvalidConfig(format!("checkpoint lane `{}` sink: {e}", ls.policy))
+            })?;
             lane.prev_levels = ls.prev_levels.clone();
         }
         self.overestimation = state.overestimation;
@@ -937,30 +954,69 @@ mod tests {
         assert_eq!(outs[0].len(), 48);
     }
 
+    fn generated_slot(t: usize) -> Option<SlotEnv> {
+        Some(SlotEnv {
+            t,
+            arrival_rate: 200.0 + 100.0 * (t as f64 * 0.3).sin(),
+            onsite: 20.0,
+            price: 0.05,
+            offsite: 30.0,
+        })
+    }
+
+    fn summary_of(engine: &SimEngine<'_, impl SlotSource>) -> SummarySink {
+        match engine.sink_state(0).unwrap() {
+            SinkState::Summary(summary) => summary,
+            other => panic!("not a summary lane: {other:?}"),
+        }
+    }
+
     #[test]
     fn generator_source_streams_without_materialization() {
         let (cluster, _, cost) = small();
-        let source = FnSource::with_len(
-            |t| {
-                Some(SlotEnv {
-                    t,
-                    arrival_rate: 200.0 + 100.0 * (t as f64 * 0.3).sin(),
-                    onsite: 20.0,
-                    price: 0.05,
-                    offsite: 30.0,
-                })
-            },
-            1000,
-        );
-        let mut engine = SimEngine::new(Arc::clone(&cluster), source, cost, 0.0).unwrap();
-        engine.add_policy_with_sink(
-            Box::new(StaticLevels::full_speed(Arc::clone(&cluster), cost)),
-            Box::new(SummarySink::new()),
-        );
-        assert_eq!(engine.run_to_end().unwrap(), 1000);
-        // A summary lane cannot produce a SimOutcome or a checkpoint.
-        assert!(engine.checkpoint().is_err());
-        assert!(engine.into_outcomes().is_err());
+        let cost = CostParams { switch_energy_kwh: 0.0231, ..cost };
+        let summary_engine = |len| {
+            let mut engine =
+                SimEngine::new(Arc::clone(&cluster), FnSource::with_len(generated_slot, len), cost, 0.0)
+                    .unwrap();
+            engine.add_policy_with_sink(
+                Box::new(StaticLevels::full_speed(Arc::clone(&cluster), cost)),
+                Box::new(SummarySink::new()),
+            );
+            engine
+        };
+
+        // Uninterrupted reference.
+        let mut reference = summary_engine(1000);
+        assert_eq!(reference.run_to_end().unwrap(), 1000);
+        let want = summary_of(&reference);
+        assert_eq!(want.slots, 1000);
+
+        // A summary lane checkpoints its totals, restores into a fresh
+        // engine through JSON, and continues to the same totals bit for bit.
+        let mut first = summary_engine(1000);
+        for _ in 0..400 {
+            assert_eq!(first.step().unwrap(), StepStatus::Advanced);
+        }
+        let json = serde_json::to_string(&first.checkpoint().unwrap()).unwrap();
+        let state: EngineState = serde_json::from_str(&json).unwrap();
+        assert!(matches!(state.lanes[0].sink, SinkState::Summary(s) if s.slots == 400));
+        let mut resumed = summary_engine(1000);
+        resumed.restore(&state).unwrap();
+        assert_eq!(resumed.run_to_end().unwrap(), 600);
+        let got = summary_of(&resumed);
+        assert_eq!(got.slots, want.slots);
+        for (a, b) in [
+            (got.total_cost, want.total_cost),
+            (got.total_brown_energy, want.total_brown_energy),
+            (got.total_offsite, want.total_offsite),
+            (got.total_facility_energy, want.total_facility_energy),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits(), "resumed summary must be bit-exact");
+        }
+
+        // Still no SimOutcome from a lane that kept no records.
+        assert!(resumed.into_outcomes().is_err());
     }
 
     /// Regression for the old `Option<SlotEnv>` API, which conflated "no
@@ -1082,7 +1138,7 @@ mod tests {
         assert_eq!(exit, ServiceExit::Stopped);
         let st = final_state.expect("stop must emit a final checkpoint");
         assert_eq!(st.t, 5, "all queued slots drained before the stop");
-        assert_eq!(st.lanes[0].records.len(), 5);
+        assert!(matches!(&st.lanes[0].sink, SinkState::Records(r) if r.len() == 5));
         drop(handle);
     }
 

@@ -68,7 +68,9 @@ pub use engine::{
 pub use error::SimError;
 pub use group::ServerGroup;
 pub use incremental::{EvalStats, SlotEvalContext, StateCostCache, ZobristTable};
-pub use metrics::{DecisionContext, RecordSink, SimOutcome, SlotRecord, SummarySink, VecSink};
+pub use metrics::{
+    DecisionContext, RecordSink, SimOutcome, SinkState, SlotRecord, SummarySink, VecSink,
+};
 pub use policy::{Decision, Policy, PolicyTelemetry, SlotFeedback, SlotObservation, StaticLevels};
 pub use push::{push_source, push_source_at, PushError, PushHandle, PushSource};
 pub use server::{ServerClass, SpeedLevel};

@@ -177,15 +177,41 @@ pub struct DecisionContext<'a> {
     pub telemetry: Option<crate::policy::PolicyTelemetry>,
 }
 
+/// Checkpointable state of a [`RecordSink`]: what
+/// [`SimEngine::checkpoint`](crate::SimEngine::checkpoint) stores per lane
+/// and [`SimEngine::restore`](crate::SimEngine::restore) hands back.
+///
+/// A typed enum rather than a free-form `serde::Value`: serializing a
+/// lane then holds one value tree of its records, not two.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum SinkState {
+    /// Every record so far, in slot order ([`VecSink`]). Grows with t.
+    Records(Vec<SlotRecord>),
+    /// Running totals ([`SummarySink`]). Constant size.
+    Summary(SummarySink),
+}
+
+impl SinkState {
+    fn kind(&self) -> &'static str {
+        match self {
+            SinkState::Records(_) => "Records",
+            SinkState::Summary(_) => "Summary",
+        }
+    }
+}
+
 /// Consumer of the engine's per-slot record stream.
 ///
 /// Figures, reports, and tests all read the same [`SlotRecord`] stream; a
 /// sink decides what to keep. [`VecSink`] materializes every record (the
-/// default, and the only sink that supports checkpointing and
-/// [`SimOutcome`] extraction); [`SummarySink`] keeps O(1) running totals
-/// for unbounded generator traces that must not be materialized; protocol
-/// sinks override [`record_decision`](Self::record_decision) to also see
-/// the control decision they must serialize.
+/// default, and the only sink that yields a [`SimOutcome`]);
+/// [`SummarySink`] keeps O(1) running totals for unbounded streams that
+/// must not be materialized; protocol sinks override
+/// [`record_decision`](Self::record_decision) to also see the control
+/// decision they must serialize. Both stock sinks checkpoint through
+/// [`snapshot`](Self::snapshot) / [`restore`](Self::restore), mirroring
+/// [`Policy::snapshot`](crate::Policy::snapshot): a `VecSink` lane
+/// checkpoints its records, a `SummarySink` lane only its totals.
 pub trait RecordSink {
     /// Receives the record for one completed slot. Records arrive in slot
     /// order, exactly once per slot.
@@ -203,22 +229,23 @@ pub trait RecordSink {
         self.record(rec)
     }
 
-    /// Borrows the materialized records, if this sink keeps them.
-    /// Sinks that aggregate (or forward elsewhere) return `None`; such
-    /// sinks cannot participate in checkpoints or produce a `SimOutcome`.
-    fn collected(&self) -> Option<&[SlotRecord]> {
-        None
+    /// Captures the sink's state at a slot boundary. The default refuses:
+    /// a sink that only forwards records has nothing to restore from.
+    fn snapshot(&self) -> Result<SinkState, String> {
+        Err("this RecordSink does not support checkpointing".to_string())
     }
 
-    /// Takes the materialized records out of the sink, if kept.
+    /// Replaces the sink's state with a [`snapshot`](Self::snapshot) taken
+    /// from the same kind of sink.
+    fn restore(&mut self, _state: &SinkState) -> Result<(), String> {
+        Err("this RecordSink does not support checkpoint restore".to_string())
+    }
+
+    /// Takes the materialized records out of the sink, if kept. Sinks that
+    /// aggregate (or forward elsewhere) return `None` and cannot produce a
+    /// `SimOutcome`.
     fn take_records(&mut self) -> Option<Vec<SlotRecord>> {
         None
-    }
-
-    /// Replaces the sink's state with previously checkpointed records.
-    /// Returns an error for sinks that cannot restore.
-    fn restore_records(&mut self, _records: &[SlotRecord]) -> Result<(), String> {
-        Err("this RecordSink does not support checkpoint restore".to_string())
     }
 }
 
@@ -240,20 +267,26 @@ impl RecordSink for VecSink {
         self.records.push(*rec);
         Ok(())
     }
-    fn collected(&self) -> Option<&[SlotRecord]> {
-        Some(&self.records)
+    fn snapshot(&self) -> Result<SinkState, String> {
+        Ok(SinkState::Records(self.records.clone()))
+    }
+    fn restore(&mut self, state: &SinkState) -> Result<(), String> {
+        match state {
+            SinkState::Records(records) => {
+                self.records = records.clone();
+                Ok(())
+            }
+            other => Err(format!("a VecSink cannot restore a {} checkpoint", other.kind())),
+        }
     }
     fn take_records(&mut self) -> Option<Vec<SlotRecord>> {
         Some(std::mem::take(&mut self.records))
     }
-    fn restore_records(&mut self, records: &[SlotRecord]) -> Result<(), String> {
-        self.records = records.to_vec();
-        Ok(())
-    }
 }
 
-/// O(1)-memory sink: running totals only. For unbounded generator traces.
-#[derive(Debug, Default, Clone, Copy, PartialEq)]
+/// O(1)-memory sink: running totals only. For unbounded streams and the
+/// resident service, whose checkpoints must not grow with t.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SummarySink {
     /// Slots consumed.
     pub slots: usize,
@@ -286,6 +319,35 @@ impl RecordSink for SummarySink {
         self.total_brown_energy += rec.brown_energy;
         self.total_offsite += rec.offsite;
         self.total_facility_energy += rec.facility_energy;
+        Ok(())
+    }
+    // Field by field, so a new total is a compile error here until it is
+    // checkpointed too.
+    fn snapshot(&self) -> Result<SinkState, String> {
+        Ok(SinkState::Summary(SummarySink {
+            slots: self.slots,
+            total_cost: self.total_cost,
+            total_brown_energy: self.total_brown_energy,
+            total_offsite: self.total_offsite,
+            total_facility_energy: self.total_facility_energy,
+        }))
+    }
+    fn restore(&mut self, state: &SinkState) -> Result<(), String> {
+        let SinkState::Summary(summary) = state else {
+            return Err(format!("a SummarySink cannot restore a {} checkpoint", state.kind()));
+        };
+        let SummarySink {
+            slots,
+            total_cost,
+            total_brown_energy,
+            total_offsite,
+            total_facility_energy,
+        } = *summary;
+        self.slots = slots;
+        self.total_cost = total_cost;
+        self.total_brown_energy = total_brown_energy;
+        self.total_offsite = total_offsite;
+        self.total_facility_energy = total_facility_energy;
         Ok(())
     }
 }
@@ -372,18 +434,19 @@ mod tests {
     }
 
     #[test]
-    fn vec_sink_collects_and_restores() {
+    fn vec_sink_snapshots_records_and_restores() {
         let mut sink = VecSink::new();
         let r0 = record(0, 10.0, 4.0, 2.0);
         let r1 = record(1, 6.0, 4.0, 4.0);
         sink.record(&r0).unwrap();
         sink.record(&r1).unwrap();
-        assert_eq!(sink.collected().unwrap().len(), 2);
-        let taken = sink.take_records().unwrap();
-        assert_eq!(taken, vec![r0, r1]);
-        assert!(sink.collected().unwrap().is_empty());
-        sink.restore_records(&taken).unwrap();
-        assert_eq!(sink.collected().unwrap(), &[r0, r1]);
+        let state = sink.snapshot().unwrap();
+        assert_eq!(state, SinkState::Records(vec![r0, r1]));
+        assert_eq!(sink.take_records().unwrap(), vec![r0, r1]);
+        assert_eq!(sink.snapshot().unwrap(), SinkState::Records(vec![]));
+        sink.restore(&state).unwrap();
+        assert_eq!(sink.take_records().unwrap(), vec![r0, r1]);
+        assert!(sink.restore(&SinkState::Summary(SummarySink::new())).is_err());
     }
 
     #[test]
@@ -394,9 +457,8 @@ mod tests {
         assert_eq!(sink.slots, 2);
         assert!((sink.avg_hourly_cost() - 3.0).abs() < 1e-12);
         assert_eq!(sink.total_brown_energy, 16.0);
-        assert!(sink.collected().is_none());
         assert!(sink.take_records().is_none());
-        assert!(sink.restore_records(&[]).is_err());
+        assert!(sink.restore(&SinkState::Records(vec![])).is_err());
     }
 
     #[test]

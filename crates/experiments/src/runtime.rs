@@ -6,8 +6,8 @@
 //! frame boundary with `--resume` instead of recomputing the whole year.
 //!
 //! The checkpoint file is JSON (`serde_json` over the engine's
-//! `EngineState`), written atomically (temp file + rename) and deleted on
-//! successful completion. A checkpoint that fails to parse or does not
+//! `EngineState`, every lane with its full records), written atomically by
+//! [`coca_obs::persist`] and deleted on successful completion. A checkpoint that fails to parse or does not
 //! match the engine's configuration (lane count, policy names, `rec_total`)
 //! is ignored with a warning — the run then starts from slot 0.
 
@@ -18,6 +18,7 @@ use coca_dcsim::{
     Cluster, CostParams, EngineBuilder, EngineState, Policy, SimError, SimOutcome, StepStatus,
 };
 use coca_obs::logger::{self, Span};
+use coca_obs::persist::{read_json, write_json};
 use coca_obs::EngineObserver;
 use coca_traces::EnvironmentTrace;
 
@@ -70,32 +71,6 @@ impl Default for RunOptions<'_> {
     }
 }
 
-/// Serializes an [`EngineState`] to `path` as JSON, atomically.
-pub fn write_checkpoint(path: &Path, state: &EngineState) -> Result<(), SimError> {
-    let json = serde_json::to_string(state)
-        .map_err(|e| SimError::Internal(format!("checkpoint serialization failed: {e}")))?;
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| {
-                SimError::Internal(format!("cannot create {}: {e}", dir.display()))
-            })?;
-        }
-    }
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, json)
-        .map_err(|e| SimError::Internal(format!("cannot write {}: {e}", tmp.display())))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| SimError::Internal(format!("cannot rename {}: {e}", tmp.display())))
-}
-
-/// Reads an [`EngineState`] previously written by [`write_checkpoint`].
-pub fn read_checkpoint(path: &Path) -> Result<EngineState, SimError> {
-    let json = std::fs::read_to_string(path)
-        .map_err(|e| SimError::Internal(format!("cannot read {}: {e}", path.display())))?;
-    serde_json::from_str(&json)
-        .map_err(|e| SimError::Internal(format!("checkpoint parse failed: {e}")))
-}
-
 /// Runs `policies` in lockstep over `trace`, checkpointing at frame
 /// boundaries when `ckpt` is given. Semantically identical to
 /// [`coca_dcsim::run_lockstep`] — same outcomes, slot for slot — plus the
@@ -126,8 +101,8 @@ pub fn run_lockstep_checkpointed<'p>(
     if let Some(c) = &ckpt {
         if c.resume && c.path.exists() {
             let every = c.every.max(1);
-            match read_checkpoint(c.path).and_then(|state| {
-                engine.restore(&state)?;
+            match read_json::<EngineState>(c.path).and_then(|state| {
+                engine.restore(&state).map_err(|e| e.to_string())?;
                 Ok(state.t)
             }) {
                 Ok(t) => logger::info(
@@ -145,7 +120,7 @@ pub fn run_lockstep_checkpointed<'p>(
         if let Some(c) = &ckpt {
             let every = c.every.max(1);
             if engine.t() % every == 0 {
-                write_checkpoint(c.path, &engine.checkpoint()?)?;
+                write_json(c.path, &engine.checkpoint()?).map_err(SimError::Internal)?;
                 logger::debug(
                     &Span::new("checkpoint").slot(engine.t()).frame(engine.t() / every),
                     &format!("state written to {}", c.path.display()),
@@ -231,7 +206,7 @@ mod tests {
         for _ in 0..24 {
             assert_eq!(engine.step().unwrap(), StepStatus::Advanced);
         }
-        write_checkpoint(&path, &engine.checkpoint().unwrap()).unwrap();
+        write_json(&path, &engine.checkpoint().unwrap()).unwrap();
         drop(engine);
 
         let resumed = run_lockstep_checkpointed(

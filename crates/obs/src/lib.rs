@@ -3,7 +3,8 @@
 //! The paper's controller is meant to run online for a whole year of slots
 //! (Algorithm 1); production carbon-aware schedulers live or die by their
 //! telemetry. This crate is the single home for that telemetry, with four
-//! pieces:
+//! pieces (plus [`persist`], the atomic state-file writer every runner
+//! shares):
 //!
 //! * **Observer traits** ([`EngineObserver`], [`SolverObserver`]) — hook
 //!   points the simulation engine and the P3 solvers call at well-defined
@@ -37,6 +38,7 @@ pub mod batch;
 pub mod logger;
 pub mod metrics;
 pub mod observer;
+pub mod persist;
 pub mod snapshot;
 
 mod metrics_observer;

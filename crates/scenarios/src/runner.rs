@@ -37,6 +37,7 @@ use coca_experiments::parallel;
 use coca_experiments::runtime::{run_lockstep_checkpointed, Checkpointing, RunOptions};
 use coca_experiments::setup::{unaware_reference, ExperimentScale, PaperSetup};
 use coca_obs::logger::{self, Span};
+use coca_obs::persist::write_atomic;
 use coca_obs::{BatchMetrics, MetricsRegistry};
 use coca_traces::{WorkloadKind, WorkloadTrace};
 use serde::Value;
@@ -254,19 +255,6 @@ fn run_value(entry: &RunEntry, lanes: Vec<Value>) -> Value {
         ("kind".to_string(), Value::Str(entry.kind.clone())),
         ("lanes".to_string(), Value::Seq(lanes)),
     ])
-}
-
-/// Writes `content` to `path` atomically (temp file + rename).
-pub fn write_atomic(path: &Path, content: &str) -> Result<(), String> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        }
-    }
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, content).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("cannot rename {}: {e}", tmp.display()))
 }
 
 // ---- run kinds -------------------------------------------------------------
@@ -641,7 +629,7 @@ impl<'m> BatchRunner<'m> {
     /// not fatal.
     pub fn run(&self) -> Result<BatchSummary, String> {
         let manifest_path = self.opts.dir.join("manifest.json");
-        write_atomic(&manifest_path, &self.manifest.to_json()?)?;
+        write_atomic(&manifest_path, self.manifest.to_json()?.as_bytes())?;
         let runs_dir = self.runs_dir();
         let ckpt_dir = self.opts.dir.join("ckpt");
         std::fs::create_dir_all(&runs_dir)
@@ -669,7 +657,7 @@ impl<'m> BatchRunner<'m> {
             if let Ok(mut guard) = states.lock() {
                 guard[idx].1 = state;
                 if let Ok(json) = self.status_json(&guard) {
-                    if let Err(e) = write_atomic(&self.opts.dir.join("status.json"), &json) {
+                    if let Err(e) = write_atomic(&self.opts.dir.join("status.json"), json.as_bytes()) {
                         logger::error(&Span::new("batch"), &e);
                     }
                 }
@@ -713,7 +701,7 @@ impl<'m> BatchRunner<'m> {
                 self.opts.resume,
                 self.opts.abort_runs_at_slot,
             )
-            .and_then(|value| write_atomic(&result_path, &canonical_json(&value)?));
+            .and_then(|value| write_atomic(&result_path, canonical_json(&value)?.as_bytes()));
             match outcome {
                 Ok(()) => {
                     if let Some(m) = &metrics {

@@ -16,9 +16,12 @@
 //! `--listen`), publishes decision NDJSON to stdout and any
 //! `--decisions-listen` subscriber, serves Prometheus metrics on
 //! `--metrics-http`, and on SIGTERM/SIGINT checkpoints atomically and
-//! exits; `--resume` continues bit-exactly. `replay` turns a trace into
-//! the ingest stream, optionally paced by `--rate`. `scrape` is the
-//! one-shot metrics client used by the CI smoke test.
+//! exits; `--resume` continues bit-exactly. A malformed ingest line ends
+//! `run` with exit 1 and no `end` message. `replay` turns a trace into
+//! the ingest stream, optionally paced by `--rate`; a synthetic trace's
+//! `--peak` defaults to half the maximum servable rate of `run`'s default
+//! fleet, so `replay --synthetic N | run` works without flags. `scrape` is
+//! the one-shot metrics client used by the CI smoke test.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
@@ -30,6 +33,7 @@ use std::sync::Arc;
 use coca_obs::MetricsRegistry;
 use coca_serve::service::{run_batch, run_stream, ServeConfig};
 use coca_serve::{http_get, replay, spawn_acceptor, spawn_metrics_server, OutMsg, Publisher};
+use coca_dcsim::Cluster;
 use coca_traces::adapters::{self, azure, google};
 use coca_traces::{EnvironmentTrace, TraceConfig};
 
@@ -170,7 +174,7 @@ fn cmd_run(args: RunArgs) -> Result<(), String> {
         "coca-serve: {:?} after {} slots (avg hourly cost {:.4})",
         report.exit,
         report.slots,
-        report.outcome.avg_hourly_cost()
+        report.summary.avg_hourly_cost()
     );
     Ok(())
 }
@@ -214,7 +218,7 @@ fn parse_replay_args(
             let hours: usize = parse(&value, "--synthetic")?;
             TraceConfig {
                 hours,
-                peak_arrival_rate: peak.unwrap_or(500.0),
+                peak_arrival_rate: peak.unwrap_or_else(default_peak),
                 ..synth_cfg
             }
             .generate()
@@ -238,6 +242,15 @@ fn parse_replay_args(
         _ => unreachable!("matched above"),
     };
     Ok((trace, first_slot, rate))
+}
+
+/// The synthetic replay's default peak: half the maximum servable rate
+/// (γ × full-speed capacity) of `run`'s default fleet, so the two
+/// commands' defaults pipe into each other without overload.
+fn default_peak() -> f64 {
+    let cfg = ServeConfig::default();
+    let cluster = Cluster::homogeneous(cfg.groups, cfg.servers_per_group);
+    0.5 * cfg.cost.gamma * cluster.max_capacity()
 }
 
 fn cmd_replay(it: impl Iterator<Item = String>) -> Result<(), String> {

@@ -18,7 +18,8 @@
 //!   [`coca_obs`] metrics registry in Prometheus text format.
 //! * **Restart** ([`service::write_checkpoint`]): SIGTERM → atomic
 //!   checkpoint → exit; `--resume` continues bit-exactly where the
-//!   previous process stopped.
+//!   previous process stopped. The service keeps running totals, not
+//!   per-slot records, so a checkpoint has the same size at any slot.
 //!
 //! The wire format is pinned by `schemas/serve.schema.json` and validated
 //! by the `validate-serve` binary; `DESIGN.md` §17 documents the

@@ -5,10 +5,16 @@
 //! asked, spawns the reader thread, and drives
 //! [`SimEngine::run_service`] until the stream closes or the stop flag is
 //! raised (SIGTERM), checkpointing atomically (`.tmp` + rename) on the
-//! configured cadence and always once at exit. [`run_batch`] is the same
-//! pipeline minus residency — the whole stream is materialized first and
-//! the engine runs to completion — and exists so stream-vs-batch
-//! bit-identity is a one-`diff` property ingrained in the test suite.
+//! configured cadence and always once at exit. The engine's one lane
+//! records into a [`WireSink`], which keeps running totals only, so memory
+//! and checkpoint size stay flat however long the service runs. A stream
+//! that ends on a malformed line is an error, not a clean end: no `end`
+//! message is published. [`run_batch`] is the same pipeline minus
+//! residency — the whole stream is materialized first and the engine runs
+//! to completion — and exists so stream-vs-batch bit-identity is a
+//! one-`diff` property ingrained in the test suite.
+//!
+//! [`SimEngine::run_service`]: coca_dcsim::SimEngine::run_service
 
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -18,8 +24,9 @@ use std::sync::Arc;
 use coca_core::{CocaConfig, CocaController, SymmetricSolver, VSchedule};
 use coca_dcsim::{
     push_source_at, Cluster, CostParams, EngineBuilder, EngineState, ServiceConfig, ServiceExit,
-    SimOutcome,
+    SimEngine, SinkState, SlotSource, SummarySink,
 };
+use coca_obs::persist::{read_json, write_json};
 use coca_obs::{MetricsObserver, MetricsRegistry};
 use coca_traces::EnvironmentTrace;
 
@@ -88,18 +95,19 @@ pub struct ServeReport {
     pub exit: ServiceExit,
     /// Slots simulated in total (including any resumed prefix).
     pub slots: usize,
-    /// The materialized outcome (records include any resumed prefix).
-    pub outcome: SimOutcome,
+    /// Running totals over every simulated slot (including any resumed
+    /// prefix, carried in the checkpoint).
+    pub summary: SummarySink,
 }
 
 impl ServeConfig {
+    /// Builds the controller, validating first what
+    /// [`CocaController::new`] would panic on, so a bad flag is an error.
     fn controller(
         &self,
         cluster: &Arc<Cluster>,
         observer: &Arc<MetricsObserver>,
-    ) -> CocaController<SymmetricSolver> {
-        let mut solver = SymmetricSolver::new();
-        solver.set_observer(Arc::clone(observer) as _);
+    ) -> Result<CocaController<SymmetricSolver>, String> {
         let cfg = CocaConfig {
             v: VSchedule::Constant(self.v),
             frame_length: self.frame_length,
@@ -107,10 +115,14 @@ impl ServeConfig {
             alpha: self.alpha,
             rec_total: self.rec_total,
         };
+        cfg.validate()?;
+        self.cost.validate().map_err(|e| e.to_string())?;
+        let mut solver = SymmetricSolver::new();
+        solver.set_observer(Arc::clone(observer) as _);
         let mut controller =
             CocaController::new(Arc::clone(cluster), self.cost, cfg, solver);
         controller.set_observer(Arc::clone(observer) as _);
-        controller
+        Ok(controller)
     }
 
     fn cluster(&self) -> Result<Arc<Cluster>, String> {
@@ -123,26 +135,30 @@ impl ServeConfig {
 
 /// Loads an [`EngineState`] checkpoint from disk.
 pub fn read_checkpoint(path: &Path) -> Result<EngineState, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("read checkpoint {}: {e}", path.display()))?;
-    serde_json::from_str(&text).map_err(|e| format!("parse checkpoint {}: {e}", path.display()))
+    read_json(path)
 }
 
 /// Writes an [`EngineState`] checkpoint atomically: serialize to
 /// `<path>.tmp`, then rename over `path`, so a crash mid-write never
 /// leaves a torn checkpoint behind.
 pub fn write_checkpoint(path: &Path, state: &EngineState) -> Result<(), String> {
-    let json =
-        serde_json::to_string(state).map_err(|e| format!("serialize checkpoint: {e}"))?;
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, json).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
+    write_json(path, state)
+}
+
+/// The one lane's running totals.
+fn lane_summary<Src: SlotSource>(engine: &SimEngine<'_, Src>) -> Result<SummarySink, String> {
+    match engine.sink_state(0).map_err(|e| e.to_string())? {
+        SinkState::Summary(summary) => Ok(summary),
+        SinkState::Records(_) => Err("the wire sink must keep totals, not records".into()),
+    }
 }
 
 /// Runs the resident service over a live NDJSON stream.
 ///
-/// The reader thread is detached, not joined: on a stop-flag exit it may
+/// When the stream closes, the reader thread is joined: if it stopped on
+/// a malformed or out-of-order line, the run fails with that line's error
+/// and publishes no `end` (the final checkpoint, at the last good slot, is
+/// still written). On a stop-flag exit the reader is left detached: it may
 /// legitimately be parked in a blocking read on a quiet stream, and the
 /// push channel's `receiver_gone` close makes its eventual death clean.
 pub fn run_stream(
@@ -154,7 +170,10 @@ pub fn run_stream(
 ) -> Result<ServeReport, String> {
     let cluster = cfg.cluster()?;
     let observer = Arc::new(MetricsObserver::new(Arc::clone(&registry)));
-    let controller = cfg.controller(&cluster, &observer);
+    let controller = cfg.controller(&cluster, &observer)?;
+    if cfg.queue_capacity == 0 {
+        return Err("queue capacity must be at least 1".into());
+    }
 
     let resumed = if cfg.resume {
         let path = cfg
@@ -181,10 +200,7 @@ pub fn run_stream(
         engine.restore(state).map_err(|e| e.to_string())?;
     }
 
-    std::thread::spawn(move || {
-        // Errors are already typed into the closed channel; nothing to do.
-        let _ = run_ingest(input, &handle);
-    });
+    let reader = std::thread::spawn(move || run_ingest(input, &handle));
 
     let checkpoint_slot = registry.gauge("serve_checkpoint_slot");
     let checkpoint_path = cfg.checkpoint_path.clone();
@@ -205,15 +221,19 @@ pub fn run_stream(
             Ok(())
         })
         .map_err(|e| e.to_string())?;
+    if exit == ServiceExit::Closed {
+        // The reader closed the channel on its way out, so this join is
+        // immediate.
+        match reader.join() {
+            Ok(Ok(_)) => {}
+            Ok(Err(e)) => return Err(e.to_string()),
+            Err(_) => return Err("ingest thread panicked".into()),
+        }
+    }
 
     let slots = engine.t();
     publisher.publish(&OutMsg::End { slots });
-    let outcome = engine
-        .into_outcomes()
-        .map_err(|e| e.to_string())?
-        .pop()
-        .expect("exactly one lane");
-    Ok(ServeReport { exit, slots, outcome })
+    Ok(ServeReport { exit, slots, summary: lane_summary(&engine)? })
 }
 
 /// Materializes the whole ingest stream, then runs the engine to the end —
@@ -227,10 +247,10 @@ pub fn run_batch(
     if cfg.resume {
         return Err("batch mode does not support --resume".into());
     }
-    let trace = read_trace_ndjson(input)?;
     let cluster = cfg.cluster()?;
     let observer = Arc::new(MetricsObserver::new(Arc::clone(&registry)));
-    let controller = cfg.controller(&cluster, &observer);
+    let controller = cfg.controller(&cluster, &observer)?;
+    let trace = read_trace_ndjson(input)?;
     let mut engine = EngineBuilder::new(Arc::clone(&cluster), cfg.cost)
         .rec_total(cfg.rec_total)
         .observer(Arc::clone(&observer) as _)
@@ -243,12 +263,7 @@ pub fn run_batch(
     engine.run_to_end().map_err(|e| e.to_string())?;
     let slots = engine.t();
     publisher.publish(&OutMsg::End { slots });
-    let outcome = engine
-        .into_outcomes()
-        .map_err(|e| e.to_string())?
-        .pop()
-        .expect("exactly one lane");
-    Ok(ServeReport { exit: ServiceExit::Closed, slots, outcome })
+    Ok(ServeReport { exit: ServiceExit::Closed, slots, summary: lane_summary(&engine)? })
 }
 
 /// Parses a full ingest NDJSON stream into an [`EnvironmentTrace`].
@@ -292,6 +307,8 @@ mod tests {
     use super::*;
     use crate::replay::replay;
     use coca_traces::TraceConfig;
+    use std::io::Write;
+    use std::sync::Mutex;
 
     fn test_cfg() -> ServeConfig {
         ServeConfig { groups: 2, servers_per_group: 5, rec_total: 10.0, ..Default::default() }
@@ -315,48 +332,94 @@ mod tests {
         buf
     }
 
+    /// A publisher whose every published byte lands in the returned buffer.
+    #[derive(Clone, Default)]
+    struct Captured(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Captured {
+        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(data);
+            Ok(data.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Captured {
+        fn publisher(&self) -> Arc<Publisher> {
+            let publisher = Publisher::new();
+            publisher.subscribe(Box::new(self.clone()));
+            publisher
+        }
+        fn text(&self) -> String {
+            String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
+        }
+    }
+
+    fn stream(cfg: &ServeConfig, input: Vec<u8>) -> (Result<ServeReport, String>, String) {
+        let out = Captured::default();
+        let report = run_stream(
+            cfg,
+            Box::new(std::io::Cursor::new(input)),
+            out.publisher(),
+            Arc::new(MetricsRegistry::new()),
+            Arc::new(AtomicBool::new(false)),
+        );
+        (report, out.text())
+    }
+
+    fn assert_same_summary(a: &SummarySink, b: &SummarySink) {
+        assert_eq!(a.slots, b.slots);
+        for (x, y) in [
+            (a.total_cost, b.total_cost),
+            (a.total_brown_energy, b.total_brown_energy),
+            (a.total_offsite, b.total_offsite),
+            (a.total_facility_energy, b.total_facility_energy),
+        ] {
+            assert_eq!(x.to_bits(), y.to_bits(), "summary differs: {a:?} vs {b:?}");
+        }
+    }
+
+    fn tmp_dir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("coca-serve-test-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn stream_and_batch_runs_are_bit_identical() {
         let trace = test_trace(30);
         let input = ndjson(&trace);
 
-        let stream_report = run_stream(
-            &test_cfg(),
-            Box::new(std::io::Cursor::new(input.clone())),
-            Publisher::new(),
-            Arc::new(MetricsRegistry::new()),
-            Arc::new(AtomicBool::new(false)),
-        )
-        .unwrap();
+        let (stream_report, stream_bytes) = stream(&test_cfg(), input.clone());
+        let stream_report = stream_report.unwrap();
         assert_eq!(stream_report.exit, ServiceExit::Closed);
         assert_eq!(stream_report.slots, 30);
 
+        let batch_out = Captured::default();
         let batch_report = run_batch(
             &test_cfg(),
             Box::new(std::io::Cursor::new(input)),
-            Publisher::new(),
+            batch_out.publisher(),
             Arc::new(MetricsRegistry::new()),
         )
         .unwrap();
-        assert_eq!(stream_report.outcome, batch_report.outcome, "bit-exact equivalence");
+        assert_eq!(stream_bytes, batch_out.text(), "bit-exact published stream");
+        assert_eq!(stream_bytes.lines().count(), 31, "30 decisions and the end line");
+        assert_same_summary(&stream_report.summary, &batch_report.summary);
     }
 
     #[test]
     fn checkpoint_resume_is_bit_exact() {
         let trace = test_trace(24);
-        let dir = std::env::temp_dir().join(format!("coca-serve-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmp_dir("resume");
         let ckpt = dir.join("resume-test.ckpt.json");
 
         // Uninterrupted reference.
-        let reference = run_stream(
-            &test_cfg(),
-            Box::new(std::io::Cursor::new(ndjson(&trace))),
-            Publisher::new(),
-            Arc::new(MetricsRegistry::new()),
-            Arc::new(AtomicBool::new(false)),
-        )
-        .unwrap();
+        let (reference, reference_bytes) = stream(&test_cfg(), ndjson(&trace));
+        let reference = reference.unwrap();
 
         // Interrupted run: stop after slot 12 (checkpoint cadence 4).
         let cfg = ServeConfig {
@@ -365,34 +428,83 @@ mod tests {
             stop_at_slot: Some(12),
             ..test_cfg()
         };
-        let first = run_stream(
-            &cfg,
-            Box::new(std::io::Cursor::new(ndjson(&trace))),
-            Publisher::new(),
-            Arc::new(MetricsRegistry::new()),
-            Arc::new(AtomicBool::new(false)),
-        )
-        .unwrap();
+        let (first, first_bytes) = stream(&cfg, ndjson(&trace));
+        let first = first.unwrap();
         assert_eq!(first.exit, ServiceExit::Stopped);
         assert_eq!(first.slots, 12);
+        let (first_decisions, first_end) =
+            first_bytes.trim_end().rsplit_once('\n').expect("decisions then end");
+        assert_eq!(first_end, OutMsg::End { slots: 12 }.to_line());
 
         // Resume: feed the remainder of the stream from slot 12.
         let mut rest = Vec::new();
         replay(&trace, 12, 0.0, &mut rest).unwrap();
         let cfg = ServeConfig { resume: true, stop_at_slot: None, ..cfg };
-        let resumed = run_stream(
-            &cfg,
-            Box::new(std::io::Cursor::new(rest)),
-            Publisher::new(),
-            Arc::new(MetricsRegistry::new()),
-            Arc::new(AtomicBool::new(false)),
-        )
-        .unwrap();
+        let (resumed, resumed_bytes) = stream(&cfg, rest);
+        let resumed = resumed.unwrap();
         assert_eq!(resumed.exit, ServiceExit::Closed);
         assert_eq!(resumed.slots, 24);
-        assert_eq!(resumed.outcome, reference.outcome, "resume is bit-exact");
+        assert_eq!(
+            format!("{first_decisions}\n{resumed_bytes}"),
+            reference_bytes,
+            "interrupted + resumed publish the uninterrupted bytes"
+        );
+        assert_same_summary(&resumed.summary, &reference.summary);
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn malformed_line_fails_the_run_and_publishes_no_end() {
+        let trace = test_trace(10);
+        let text = String::from_utf8(ndjson(&trace)).unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        // Slots 0..=4 are lines 1–5; line 6 is garbage.
+        lines.insert(5, "this is not json");
+        let input = lines.join("\n").into_bytes();
+
+        let dir = tmp_dir("malformed");
+        let ckpt = dir.join("serve.ckpt.json");
+        let cfg = ServeConfig { checkpoint_path: Some(ckpt.clone()), ..test_cfg() };
+        let (report, published) = stream(&cfg, input);
+        let err = report.expect_err("a malformed line is not a clean end");
+        assert!(err.contains("line 6"), "error must name the line: {err}");
+        assert!(!published.contains("\"type\":\"end\""), "no end message: {published}");
+        assert_eq!(published.lines().count(), 5, "the five good slots were decided");
+        let state = read_checkpoint(&ckpt).expect("final checkpoint written");
+        assert_eq!(state.t, 5, "checkpoint at the last good slot");
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn invalid_settings_are_errors_not_panics() {
+        let input = ndjson(&test_trace(4));
+        for (cfg, want) in [
+            (ServeConfig { frame_length: 7, ..test_cfg() }, "multiple of the frame length 7"),
+            (ServeConfig { alpha: 0.0, ..test_cfg() }, "alpha 0 must be positive"),
+            (ServeConfig { v: f64::NAN, ..test_cfg() }, "NaN"),
+            (
+                ServeConfig { cost: CostParams { gamma: 1.5, ..CostParams::default() }, ..test_cfg() },
+                "gamma 1.5",
+            ),
+        ] {
+            let (report, published) = stream(&cfg, input.clone());
+            let err = report.err().unwrap_or_default();
+            assert!(err.contains(want), "run_stream: want {want:?}, got {err:?}");
+            assert!(published.is_empty());
+            let err = run_batch(
+                &cfg,
+                Box::new(std::io::Cursor::new(input.clone())),
+                Publisher::new(),
+                Arc::new(MetricsRegistry::new()),
+            )
+            .err()
+            .unwrap_or_default();
+            assert!(err.contains(want), "run_batch: want {want:?}, got {err:?}");
+        }
+        let (report, _) = stream(&ServeConfig { queue_capacity: 0, ..test_cfg() }, input);
+        assert!(report.err().unwrap_or_default().contains("queue capacity"));
     }
 
     #[test]

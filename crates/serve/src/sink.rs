@@ -1,33 +1,40 @@
 //! [`WireSink`]: the [`RecordSink`] that turns completed slots into wire
 //! messages.
 //!
-//! It wraps a materializing [`VecSink`] (so checkpoints and
-//! [`SimOutcome`](coca_dcsim::SimOutcome) extraction keep working) and
-//! overrides [`RecordSink::record_decision`] — the context-carrying hook
-//! added for exactly this purpose — to publish a
+//! It overrides [`RecordSink::record_decision`] — the context-carrying
+//! hook added for exactly this purpose — to publish a
 //! [`DecisionMsg`](crate::proto::DecisionMsg) per slot: record fields for
 //! the realized costs, [`DecisionContext`] for the speed vector and the
 //! actually-dispatched load split, and the policy's
 //! [`telemetry`](coca_dcsim::Policy::telemetry) for controller internals.
+//!
+//! Published records are not kept. The sink wraps a [`SummarySink`], so
+//! the service holds running totals, not one record per slot, and its
+//! checkpoints carry [`SinkState::Summary`]: the same size at slot 24 as
+//! at slot 8,760. Nothing here yields a
+//! [`SimOutcome`](coca_dcsim::SimOutcome); the decision stream is the
+//! service's per-slot output.
 
 use std::sync::Arc;
 
-use coca_dcsim::{DecisionContext, RecordSink, SlotRecord, VecSink};
+use coca_dcsim::{DecisionContext, RecordSink, SinkState, SlotRecord, SummarySink};
 
 use crate::proto::{DecisionMsg, OutMsg};
 use crate::publish::Publisher;
 
 /// Record sink that publishes each slot's decision to a [`Publisher`].
 pub struct WireSink {
-    inner: VecSink,
+    inner: SummarySink,
+    // audit:transient(lane name fixed at construction; the host rebuilds the sink before restore)
     policy: String,
+    // audit:transient(output handle injected at construction, not run state)
     publisher: Arc<Publisher>,
 }
 
 impl WireSink {
     /// Creates a sink publishing decisions under `policy`'s name.
     pub fn new(policy: impl Into<String>, publisher: Arc<Publisher>) -> Self {
-        Self { inner: VecSink::new(), policy: policy.into(), publisher }
+        Self { inner: SummarySink::new(), policy: policy.into(), publisher }
     }
 }
 
@@ -55,16 +62,12 @@ impl RecordSink for WireSink {
         Ok(())
     }
 
-    fn collected(&self) -> Option<&[SlotRecord]> {
-        self.inner.collected()
+    fn snapshot(&self) -> Result<SinkState, String> {
+        self.inner.snapshot()
     }
 
-    fn take_records(&mut self) -> Option<Vec<SlotRecord>> {
-        self.inner.take_records()
-    }
-
-    fn restore_records(&mut self, records: &[SlotRecord]) -> Result<(), String> {
-        self.inner.restore_records(records)
+    fn restore(&mut self, state: &SinkState) -> Result<(), String> {
+        self.inner.restore(state)
     }
 }
 
@@ -104,7 +107,7 @@ mod tests {
     }
 
     #[test]
-    fn publishes_one_decision_per_slot_and_stays_materializing() {
+    fn publishes_one_decision_per_slot_and_keeps_only_totals() {
         let publisher = Publisher::new();
         let buf = Arc::new(Mutex::new(Vec::new()));
         publisher.subscribe(Box::new(SharedBuf(Arc::clone(&buf))));
@@ -126,9 +129,16 @@ mod tests {
         assert_eq!(d.loads, vec![10.0, 0.0]);
         assert_eq!(d.servers_on, 8);
 
-        // Checkpoint surface still works through the wrapper.
-        assert_eq!(sink.collected().unwrap().len(), 2);
-        sink.restore_records(&[record(0)]).unwrap();
-        assert_eq!(sink.take_records().unwrap().len(), 1);
+        // The checkpoint surface carries running totals, not records.
+        let SinkState::Summary(summary) = sink.snapshot().unwrap() else {
+            panic!("wire sink must snapshot a summary")
+        };
+        assert_eq!(summary.slots, 2);
+        assert_eq!(summary.total_cost, 1.25);
+        assert!(sink.take_records().is_none());
+        let mut restored = WireSink::new("coca", Publisher::new());
+        restored.restore(&SinkState::Summary(summary)).unwrap();
+        assert_eq!(restored.snapshot().unwrap(), SinkState::Summary(summary));
+        assert!(restored.restore(&SinkState::Records(vec![record(0)])).is_err());
     }
 }

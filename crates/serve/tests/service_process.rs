@@ -1,6 +1,7 @@
 //! Process-level integration tests for the `coca-serve` binary: socket
 //! round-trips, real SIGTERM checkpoint/resume, backpressure under a tiny
-//! push queue, and schema validation of the captured wire streams.
+//! push queue, schema validation of the captured wire streams, exit codes
+//! for malformed input and invalid flags, and the `replay | run` defaults.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -283,4 +284,75 @@ fn committed_trace_fixtures_replay_through_the_service() {
         );
         assert!(stream.contains(&format!("\"slots\":{}", slots.len())));
     }
+}
+
+/// Runs `coca-serve run <args>` over `input` on stdin; returns the exit
+/// code, stdout and stderr.
+fn run_with_input(args: &[&str], input: &str) -> (Option<i32>, String, String) {
+    let mut child = Command::new(SERVE)
+        .arg("run")
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    // The service may exit before reading everything; a broken pipe here
+    // is part of what is being tested, not a harness failure.
+    let _ = child.stdin.take().unwrap().write_all(input.as_bytes());
+    let out = child.wait_with_output().unwrap();
+    (
+        out.status.code(),
+        String::from_utf8(out.stdout).unwrap(),
+        String::from_utf8(out.stderr).unwrap(),
+    )
+}
+
+#[test]
+fn malformed_line_mid_stream_exits_nonzero_without_end() {
+    let input = replay_ndjson(10);
+    let mut lines: Vec<&str> = input.lines().collect();
+    // Slots 0..=4 are lines 1–5; line 6 is garbage.
+    lines.insert(5, "{\"type\":\"slot\",garbage");
+    let (code, stdout, stderr) = run_with_input(FLEET, &lines.join("\n"));
+    assert_eq!(code, Some(1), "a garbled stream is not a clean end; stderr: {stderr}");
+    assert!(stderr.contains("line 6"), "stderr must name the line: {stderr}");
+    assert!(!stdout.contains("\"type\":\"end\""), "no end message: {stdout}");
+    assert_eq!(decision_lines(&stdout).len(), 5, "the five good slots were decided");
+}
+
+#[test]
+fn invalid_flags_exit_one_instead_of_panicking() {
+    let input = replay_ndjson(4);
+    // (flag, value, expected message, whether batch mode uses the setting)
+    for (flag, value, want, batch_too) in [
+        ("--frame", "7", "multiple of the frame length 7", true),
+        ("--alpha", "0", "alpha 0 must be positive", true),
+        ("--queue-capacity", "0", "queue capacity must be at least 1", false),
+    ] {
+        let mut args = FLEET.to_vec();
+        args.extend([flag, value]);
+        let (code, stdout, stderr) = run_with_input(&args, &input);
+        assert_eq!(code, Some(1), "{flag} {value}: stderr {stderr}");
+        assert!(stderr.contains(want), "{flag} {value}: stderr {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag} {value}: stderr {stderr}");
+        assert!(stdout.is_empty(), "{flag} {value}: nothing published");
+        if batch_too {
+            args.extend(["--mode", "batch"]);
+            let (code, _, stderr) = run_with_input(&args, &input);
+            assert_eq!(code, Some(1), "batch {flag} {value}: stderr {stderr}");
+            assert!(stderr.contains(want), "batch {flag} {value}: stderr {stderr}");
+        }
+    }
+}
+
+#[test]
+fn default_replay_feeds_default_run_without_overload() {
+    let out = Command::new(SERVE).args(["replay", "--synthetic", "168"]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let input = String::from_utf8(out.stdout).unwrap();
+    let (code, stdout, stderr) = run_with_input(&[], &input);
+    assert_eq!(code, Some(0), "default replay | default run: {stderr}");
+    assert_eq!(decision_lines(&stdout).len(), 168);
+    assert!(stdout.contains("\"slots\":168"));
 }

@@ -59,7 +59,8 @@ pub mod prelude {
         push_source, run_lockstep, run_single, Cluster, ClusterBuilder, CostParams,
         DecisionContext, EngineBuilder, EngineState, Policy, PolicyTelemetry, PollSlot, PushError,
         PushHandle, PushSource, RecordSink, ServerClass, ServiceConfig, ServiceExit, SimEngine,
-        SimOutcome, SlotObservation, SlotRecord, SlotSource, StepStatus, SummarySink, VecSink,
+        SimOutcome, SinkState, SlotObservation, SlotRecord, SlotSource, StepStatus, SummarySink,
+        VecSink,
     };
     pub use coca_obs::{
         EngineObserver, MetricsObserver, MetricsRegistry, MetricsSnapshot, NoopObserver,

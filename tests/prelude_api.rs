@@ -258,7 +258,7 @@ fn serve_wire_surface_reachable_from_prelude() {
     )
     .expect("batch service run");
     assert_eq!(report.slots, 6);
-    assert_eq!(report.outcome.len(), 6);
+    assert_eq!(report.summary.slots, 6);
     let _sink_ty = std::marker::PhantomData::<WireSink>;
 }
 
